@@ -11,18 +11,24 @@ import (
 	"spacejmp/internal/redis"
 )
 
-// waitForFork blocks until the fork engine has published a frozen view for
-// the node (a ship completed) or the deadline passes.
+// waitForFork blocks until the node's current frozen view holds every
+// write acknowledged so far, or the deadline passes. A ship forks the view
+// and drains the node's delta window in one critical section under the
+// node mutex, and an acknowledged write is in that window before its reply
+// leaves the router — so a drained window with a view current means a fork
+// taken after the writes. A bare "some view exists" check would accept the
+// monitor's startup fork of the still-empty store.
 func waitForFork(t *testing.T, r *Router, node int) {
 	t.Helper()
+	n := r.nodes[node]
 	deadline := time.Now().Add(5 * time.Second)
 	for time.Now().Before(deadline) {
-		if r.forks.Current(node) != nil {
+		if buffered, dropped := n.deltaLen(); buffered == 0 && dropped == 0 && r.forks.Current(node) != nil {
 			return
 		}
 		time.Sleep(5 * time.Millisecond)
 	}
-	t.Fatalf("no frozen view published for node %d", node)
+	t.Fatalf("no frozen view of node %d's acknowledged writes published", node)
 }
 
 // TestFollowerReadsServeFromFork drives the whole follower-read path over

@@ -79,7 +79,7 @@ type node struct {
 
 	// breaker is the node's circuit breaker, nil unless
 	// Config.Overload.Breakers is on (remote nodes only). Fed by data-call
-	// outcomes and health-probe evidence; consulted in path before every
+	// outcomes and health-probe evidence; consulted in primary before every
 	// remote dispatch.
 	breaker *overload.Breaker
 

@@ -52,30 +52,14 @@ type frozenReader struct {
 	store *redis.Store
 }
 
-// get reads one key from the frozen view: switch in, walk the table, switch
-// out. The frozen segment is not lockable, so unlike the live read VAS no
-// shared lock is taken — the frames are immutable.
-func (f *frozenReader) get(th *core.Thread, key string) ([]byte, bool, error) {
+// read reads keys into dst (a miss leaves its entry nil) on one switch
+// into the frozen view — the live MGET's one-switch-many-walks fast path,
+// minus the lock: the frozen segment is not lockable, its frames are
+// immutable.
+func (f *frozenReader) read(th *core.Thread, keys []string, dst [][]byte) error {
 	if err := th.VASSwitch(f.h); err != nil {
-		return nil, false, err
+		return err
 	}
-	val, ok, err := f.store.Get([]byte(key))
-	if serr := th.VASSwitch(core.PrimaryHandle); err == nil {
-		err = serr
-	}
-	if err != nil {
-		return nil, false, err
-	}
-	return val, ok, nil
-}
-
-// mget reads a key group on one switch into the frozen view — the same
-// one-switch-many-walks fast path the live MGET uses, minus the lock.
-func (f *frozenReader) mget(th *core.Thread, keys []string) ([][]byte, error) {
-	if err := th.VASSwitch(f.h); err != nil {
-		return nil, err
-	}
-	vals := make([][]byte, len(keys))
 	var err error
 	for i, k := range keys {
 		var v []byte
@@ -84,16 +68,13 @@ func (f *frozenReader) mget(th *core.Thread, keys []string) ([][]byte, error) {
 			break
 		}
 		if ok {
-			vals[i] = v
+			dst[i] = v
 		}
 	}
 	if serr := th.VASSwitch(core.PrimaryHandle); err == nil {
 		err = serr
 	}
-	if err != nil {
-		return nil, err
-	}
-	return vals, nil
+	return err
 }
 
 func (r *Router) newWorker(id int, ctr *stats.ShardCounters) (*worker, error) {
@@ -244,42 +225,90 @@ func (r *Router) route(w *worker, args []string, readonly bool) []byte {
 	}
 }
 
-// path resolves how worker w reaches node n right now: a client for the
-// VAS fast path (co-resident store, or a promoted standby), an endpoint
-// for urpc, or a ready-made error reply when the range is fenced
-// (crashed/failing: retryable timeout) or degraded (hard error). The
-// caller holds the topology read lock — the promoted flip in promote is
-// the failover's linearization point.
-func (r *Router) path(w *worker, n *node) (*redis.Client, *urpc.Endpoint, []byte) {
-	if n.local {
-		return w.locals[n.id], nil, nil
+// source is where resolve sends one command on one node: exactly one of
+// client, ep, view or reply is set.
+type source struct {
+	client   *redis.Client  // VAS fast path: a co-resident store or a promoted standby
+	ep       *urpc.Endpoint // urpc to a remote node
+	view     *frozenReader  // a frozen fork view
+	degraded bool           // view serves an overload-degraded read
+	reply    []byte         // ready-made reply: -STALE or a refusal
+}
+
+// resolve decides where worker w serves one command on node n. GET, SET,
+// DEL and every MGET node group come through here, so reads share one
+// order of checks. The caller holds the topology read lock — the promoted
+// flip in promote is the failover's linearization point.
+//
+// A read first meets the follower gate, which a promoted node skips. The
+// gate opens for a degraded read, or for a READONLY read of a remote
+// replicated node with FollowerReads on. A read is degraded when the
+// caller accepts staleness (READONLY, or the cluster-wide DegradedReads
+// mode) and the node looks overloaded: its breaker open or half-open, or
+// this worker's queue past the watermark — the co-resident serving path's
+// saturation signal, which is what extends stale serving to local nodes.
+// Past the gate, the node's current frozen view serves the read if it is
+// within StaleBound; a view past the bound answers -STALE, the explicit
+// contract of bounded staleness. No view, or one that cannot be attached,
+// falls through to the primary, which is always fresh.
+func (r *Router) resolve(w *worker, n *node, write, readonly bool) source {
+	if !write && !n.promoted.Load() {
+		degraded := false
+		if oc := r.cfg.Overload; r.forks != nil && (readonly || oc.DegradedReads) {
+			if n.breaker != nil {
+				st := n.breaker.State()
+				degraded = st == overload.Open || st == overload.HalfOpen
+			}
+			degraded = degraded || oc.QueueWatermark > 0 && len(w.queue) >= oc.QueueWatermark
+		}
+		if degraded || readonly && r.cfg.Replication.FollowerReads && !n.local && n.replicated {
+			if v := r.forks.Current(n.id); v != nil {
+				if age, bound := v.Age(), r.cfg.Replication.StaleBound; age > bound {
+					r.obs.ClusterStaleRejected()
+					return source{reply: redis.EncodeStale(fmt.Sprintf("node %d view age %s exceeds bound %s",
+						n.id, age.Truncate(time.Millisecond), bound))}
+				}
+				if fr := w.frozenReaderFor(r, n.id, v); fr != nil {
+					return source{view: fr, degraded: degraded}
+				}
+			}
+		}
 	}
-	promoted := n.promoted.Load()
-	st := n.curState()
-	if promoted {
+	return r.primary(w, n)
+}
+
+// primary resolves the primary path to node n: the co-resident store, the
+// promoted standby, or the remote endpoint — unless the range is fenced
+// (degraded: hard error; failed, promoting or crashed: retryable timeout),
+// the deadline budget cannot cover a dispatch, or the breaker sheds it.
+func (r *Router) primary(w *worker, n *node) source {
+	if n.local {
+		return source{client: w.locals[n.id]}
+	}
+	if n.promoted.Load() {
 		c, err := w.standbyClient(r, n)
 		if err != nil {
-			return nil, nil, redis.EncodeError("standby attach: " + err.Error())
+			return source{reply: redis.EncodeError("standby attach: " + err.Error())}
 		}
-		return c, nil, nil
+		return source{client: c}
 	}
-	switch st {
+	switch n.curState() {
 	case StateDegraded:
 		cause := "no recoverable replica"
 		if p := n.cause.Load(); p != nil {
 			cause = *p
 		}
-		return nil, nil, redis.EncodeShardDegraded(n.id, cause)
+		return source{reply: redis.EncodeShardDegraded(n.id, cause)}
 	case StateFailed, StatePromoting:
 		r.obs.ClusterTimeout(n.id)
-		return nil, nil, redis.EncodeShardTimeout(n.id)
+		return source{reply: redis.EncodeShardTimeout(n.id)}
 	}
 	if n.crashed.Load() {
 		// Fenced before the call: don't burn a full retry ladder against
 		// a node already known dead.
 		r.obs.ClusterTimeout(n.id)
 		r.noteSuspect(n)
-		return nil, nil, redis.EncodeShardTimeout(n.id)
+		return source{reply: redis.EncodeShardTimeout(n.id)}
 	}
 	ep := w.endpoints[n.id]
 	// Deadline: refuse a dispatch the remaining budget cannot cover. One
@@ -289,26 +318,26 @@ func (r *Router) path(w *worker, n *node) (*redis.Client, *urpc.Endpoint, []byte
 	if w.bud.Active() {
 		if rem := w.bud.Remaining(w.th.Core.Cycles()); rem < ep.TimeoutCycles {
 			r.obs.ClusterDeadlineExpired()
-			return nil, nil, redis.EncodeDeadline(fmt.Sprintf(
-				"node %d: %d cycles left, dispatch needs %d, retry", n.id, rem, ep.TimeoutCycles))
+			return source{reply: redis.EncodeDeadline(fmt.Sprintf(
+				"node %d: %d cycles left, dispatch needs %d, retry", n.id, rem, ep.TimeoutCycles))}
 		}
 	}
 	// Circuit breaker: an open breaker sheds the dispatch immediately with
 	// the same retryable refusal a timed-out call would earn — minus the
 	// timeout. Every admission (including the half-open probe) flows into
-	// n.call, whose outcome feeds back via noteOutcome.
+	// remote, whose outcome feeds back via noteOutcome.
 	if n.breaker != nil {
 		if ok, _ := n.breaker.Allow(); !ok {
 			r.obs.ClusterShed(n.id)
-			return nil, nil, redis.EncodeShardTimeout(n.id)
+			return source{reply: redis.EncodeShardTimeout(n.id)}
 		}
 	}
-	return nil, ep, nil
+	return source{ep: ep}
 }
 
 // callBudget returns the cycle cap to hand a remote call: the in-flight
 // request's remaining allowance, floored at 1 so an armed budget that
-// raced to zero between path's refusal check and the dispatch still caps
+// raced to zero between primary's refusal check and the dispatch still caps
 // the call (0 means unlimited to urpc.CallBudget).
 func (w *worker) callBudget() uint64 {
 	if !w.bud.Active() {
@@ -319,30 +348,6 @@ func (w *worker) callBudget() uint64 {
 		rem = 1
 	}
 	return rem
-}
-
-// degradedRead reports whether reads of node n should degrade to its
-// frozen fork view right now: the caller must be eligible (the connection
-// opted into bounded staleness via READONLY, or the cluster-wide
-// DegradedReads mode covers everyone) and the node must look overloaded —
-// its breaker open or half-open, or this worker's queue past the
-// watermark (the co-resident serving path's saturation signal). This is
-// what extends follower reads to local nodes: followerView waives its
-// remote-replicated gate for a degraded read.
-func (r *Router) degradedRead(w *worker, n *node, readonly bool) bool {
-	if r.forks == nil {
-		return false
-	}
-	oc := r.cfg.Overload
-	if !readonly && !oc.DegradedReads {
-		return false
-	}
-	if n.breaker != nil {
-		if st := n.breaker.State(); st == overload.Open || st == overload.HalfOpen {
-			return true
-		}
-	}
-	return oc.QueueWatermark > 0 && len(w.queue) >= oc.QueueWatermark
 }
 
 // standbyClient lazily attaches this worker to node n's promoted standby.
@@ -370,21 +375,13 @@ func (w *worker) standbyClient(r *Router, n *node) (*redis.Client, error) {
 // slot ever goes dark.
 func (r *Router) exec1(w *worker, args []string, readonly bool) []byte {
 	slot := r.Slot(args[1])
-	nid := r.Owner(slot)
-	var isWrite bool
+	n := r.nodes[r.Owner(slot)]
 	switch strings.ToUpper(args[0]) {
 	case "SET", "DEL":
-		isWrite = true
-	}
-	if !isWrite {
-		n := r.nodes[nid]
-		if degraded := r.degradedRead(w, n, readonly); readonly || degraded {
-			if resp, served := r.followerGet(w, n, args[1], degraded); served {
-				return resp
-			}
+		mig := r.migs[slot].Load()
+		if mig == nil {
+			return r.execOn(w, n, r.resolve(w, n, true, false), args)
 		}
-	}
-	if mig := r.migs[slot].Load(); mig != nil && isWrite {
 		if mig.fenced.Load() {
 			r.obs.ClusterMovedRetry()
 			return redis.EncodeMoved(slot, mig.dst)
@@ -395,40 +392,73 @@ func (r *Router) exec1(w *worker, args []string, readonly bool) []byte {
 			r.obs.ClusterMovedRetry()
 			return redis.EncodeMoved(slot, mig.dst)
 		}
-		resp := r.execOn(w, nid, args)
+		resp := r.execOn(w, n, r.resolve(w, n, true, false), args)
 		if len(resp) > 0 && resp[0] != '-' {
 			mig.record(args, r.cfg.MigrationDeltaLog)
 		}
 		return resp
 	}
-	return r.execOn(w, nid, args)
+	src := r.resolve(w, n, false, readonly)
+	if src.view != nil {
+		var got [1][]byte
+		if r.readView(w, src, args[1:2], got[:]) {
+			return redis.EncodeBulk(got[0])
+		}
+		src = r.primary(w, n)
+	}
+	return r.execOn(w, n, src, args)
 }
 
-// execOn runs one command on node nid, local or remote.
-func (r *Router) execOn(w *worker, nid int, args []string) []byte {
-	n := r.nodes[nid]
-	c, ep, errReply := r.path(w, n)
+// execOn runs one command on node n through a client or endpoint source,
+// or answers the source's ready-made reply.
+func (r *Router) execOn(w *worker, n *node, src source, args []string) []byte {
+	switch {
+	case src.reply != nil:
+		return src.reply
+	case src.client != nil:
+		before := w.th.Core.Cycles()
+		resp := redis.Execute(src.client, args)
+		r.obs.ClusterLocal(n.id, w.th.Core.Cycles()-before)
+		return resp
+	}
+	resp, errReply := r.remote(w, n, src.ep, args)
 	if errReply != nil {
 		return errReply
 	}
-	if c != nil {
-		before := w.th.Core.Cycles()
-		resp := redis.Execute(c, args)
-		r.obs.ClusterLocal(nid, w.th.Core.Cycles()-before)
-		return resp
+	r.bufferWrite(n, args, resp)
+	return resp
+}
+
+// readView serves keys from the frozen view src resolved to, writing the
+// values into dst, and counts the follower read (and the degraded read,
+// if it was one). false means the read failed; the caller falls through
+// to the primary.
+func (r *Router) readView(w *worker, src source, keys []string, dst [][]byte) bool {
+	if src.view.read(w.th, keys, dst) != nil {
+		return false
 	}
+	r.obs.ClusterFollowerRead()
+	if src.degraded {
+		r.obs.ClusterDegradedRead()
+	}
+	return true
+}
+
+// remote sends one command to node n over urpc. The call's outcome feeds
+// the node's breaker; a failed call comes back as its error reply, a
+// completed one is counted with its worker and channel cycles.
+func (r *Router) remote(w *worker, n *node, ep *urpc.Endpoint, args []string) (resp, errReply []byte) {
 	wire := redis.EncodeCommand(args...)
 	before := w.th.Core.Cycles()
 	resp, callCycles, err := n.call(ep, wire, w.callBudget())
 	total := w.th.Core.Cycles() - before
 	n.noteOutcome(err)
 	if err != nil {
-		return r.remoteError(nid, err)
+		return nil, r.remoteError(n, err)
 	}
-	r.obs.ClusterRemote(nid, total)
+	r.obs.ClusterRemote(n.id, total)
 	r.obs.ClusterURPCCall(callCycles)
-	r.bufferWrite(n, args, resp)
-	return resp
+	return resp, nil
 }
 
 // bufferWrite records a successfully applied remote write in the node's
@@ -452,98 +482,6 @@ func (r *Router) bufferWrite(n *node, args []string, resp []byte) {
 		default:
 		}
 	}
-}
-
-// followerView returns the frozen view a follower read of node n may serve
-// from. Three outcomes: a valid view within the staleness bound (serve it);
-// a -STALE reply when the freshest view exceeds the bound (the explicit
-// contract of READONLY — the client asked for bounded staleness and the
-// bound cannot be met); or neither, when the node has no usable view at all
-// (never forked, invalidated, promoted) — those reads fall through to the
-// primary, which is always fresh.
-//
-// degraded marks an overload-degraded read: the node's breaker is open or
-// the worker is saturated, and the caller is eligible for stale serving.
-// It waives the plain path's gates — the FollowerReads switch and the
-// remote-replicated requirement — so local saturated nodes degrade to
-// their monitor-refreshed views exactly as remote ones do, within the same
-// staleness bound.
-func (r *Router) followerView(n *node, degraded bool) (*fork.View, []byte) {
-	if n.promoted.Load() {
-		return nil, nil
-	}
-	if !degraded && (!r.cfg.Replication.FollowerReads || n.local || !n.replicated) {
-		return nil, nil
-	}
-	v := r.forks.Current(n.id)
-	if v == nil {
-		return nil, nil
-	}
-	bound := r.cfg.Replication.StaleBound
-	if age := v.Age(); age > bound {
-		r.obs.ClusterStaleRejected()
-		return nil, redis.EncodeStale(fmt.Sprintf("node %d view age %s exceeds bound %s",
-			n.id, age.Truncate(time.Millisecond), bound))
-	}
-	return v, nil
-}
-
-// followerGet serves one GET from node n's frozen view when the staleness
-// bound allows. served=false falls through to the primary path.
-func (r *Router) followerGet(w *worker, n *node, key string, degraded bool) (resp []byte, served bool) {
-	v, stale := r.followerView(n, degraded)
-	if stale != nil {
-		return stale, true
-	}
-	if v == nil {
-		return nil, false
-	}
-	fr := w.frozenReaderFor(r, n.id, v)
-	if fr == nil {
-		return nil, false
-	}
-	val, ok, err := fr.get(w.th, key)
-	if err != nil {
-		return nil, false
-	}
-	r.obs.ClusterFollowerRead()
-	if degraded {
-		r.obs.ClusterDegradedRead()
-	}
-	if !ok {
-		return redis.EncodeBulk(nil), true
-	}
-	return redis.EncodeBulk(val), true
-}
-
-// followerMGet serves one MGET key group from node n's frozen view,
-// writing hits into vals at idxs. served=false falls through to the
-// primary; a non-nil stale reply fails the whole command — a partially
-// bounded MGET would be indistinguishable from a fully bounded one.
-func (r *Router) followerMGet(w *worker, n *node, keys []string, vals [][]byte, idxs []int, degraded bool) (served bool, stale []byte) {
-	v, staleReply := r.followerView(n, degraded)
-	if staleReply != nil {
-		return false, staleReply
-	}
-	if v == nil {
-		return false, nil
-	}
-	fr := w.frozenReaderFor(r, n.id, v)
-	if fr == nil {
-		return false, nil
-	}
-	got, err := fr.mget(w.th, keys)
-	if err != nil {
-		return false, nil
-	}
-	r.obs.ClusterFollowerRead()
-	if degraded {
-		r.obs.ClusterDegradedRead()
-	}
-	for j, i := range idxs {
-		vals[i] = got[j]
-	}
-	return true, nil
 }
 
 // frozenReaderFor returns this worker's cached attachment to view v,
@@ -604,9 +542,10 @@ func (r *Router) noteSuspect(n *node) {
 // switch (one shared-lock acquisition, however many keys); remote groups
 // ride one urpc round trip each. Any shard failure fails the whole
 // command — partial MGET replies would be indistinguishable from missing
-// keys. Caller holds the topology read lock, so every key resolves against
-// one table epoch. Reads on migrating slots serve from the source, which
-// stays authoritative until the flip.
+// keys, and a partially bounded MGET from a fully bounded one. Caller
+// holds the topology read lock, so every key resolves against one table
+// epoch. Reads on migrating slots serve from the source, which stays
+// authoritative until the flip.
 func (r *Router) mget(w *worker, keys []string, readonly bool) []byte {
 	groups := make(map[int][]int, len(r.nodes)) // node id → indices into keys
 	for i, k := range keys {
@@ -623,7 +562,6 @@ func (r *Router) mget(w *worker, keys []string, readonly bool) []byte {
 		for j, i := range idxs {
 			sub[j] = keys[i]
 		}
-		n := r.nodes[nid]
 		// A fan-out burns budget group by group; catch exhaustion between
 		// groups so a slow early shard can't push later dispatches past the
 		// deadline silently.
@@ -632,57 +570,57 @@ func (r *Router) mget(w *worker, keys []string, readonly bool) []byte {
 			return redis.EncodeDeadline(fmt.Sprintf(
 				"budget exhausted after %d cycles mid-MGET, retry", w.bud.Spent(now)))
 		}
-		if degraded := r.degradedRead(w, n, readonly); readonly || degraded {
-			served, stale := r.followerMGet(w, n, sub, vals, idxs, degraded)
-			if stale != nil {
-				return stale
-			}
-			if served {
-				continue
-			}
-		}
-		c, ep, errReply := r.path(w, n)
+		got, errReply := r.mgetGroup(w, r.nodes[nid], sub, readonly)
 		if errReply != nil {
 			return errReply
 		}
-		if c != nil {
-			before := w.th.Core.Cycles()
-			got, err := c.MGet(sub)
-			r.obs.ClusterLocal(nid, w.th.Core.Cycles()-before)
-			if err != nil {
-				return redis.EncodeError(err.Error())
-			}
-			for j, i := range idxs {
-				vals[i] = got[j]
-			}
-			continue
-		}
-		wire := redis.EncodeCommand(append([]string{"MGET"}, sub...)...)
-		before := w.th.Core.Cycles()
-		resp, callCycles, err := n.call(ep, wire, w.callBudget())
-		total := w.th.Core.Cycles() - before
-		n.noteOutcome(err)
-		if err != nil {
-			return r.remoteError(nid, err)
-		}
-		got, _, err := redis.DecodeArrayReply(resp)
-		if err != nil {
-			var re redis.ReplyError
-			if errors.As(err, &re) {
-				return []byte("-" + string(re) + "\r\n") // relay the shard's refusal
-			}
-			return redis.EncodeError("shard protocol error: " + err.Error())
-		}
-		if len(got) != len(idxs) {
-			return redis.EncodeError("shard protocol error: short MGET reply")
-		}
-		r.obs.ClusterRemote(nid, total)
-		r.obs.ClusterURPCCall(callCycles)
 		for j, i := range idxs {
 			vals[i] = got[j]
 		}
 	}
 	return redis.EncodeArray(vals)
+}
+
+// mgetGroup reads one MGET node group — keys all owned by node n — from
+// wherever resolve sends it, returning the values in key order or the
+// reply that fails the whole command.
+func (r *Router) mgetGroup(w *worker, n *node, keys []string, readonly bool) ([][]byte, []byte) {
+	src := r.resolve(w, n, false, readonly)
+	if src.view != nil {
+		got := make([][]byte, len(keys))
+		if r.readView(w, src, keys, got) {
+			return got, nil
+		}
+		src = r.primary(w, n)
+	}
+	switch {
+	case src.reply != nil:
+		return nil, src.reply
+	case src.client != nil:
+		before := w.th.Core.Cycles()
+		got, err := src.client.MGet(keys)
+		r.obs.ClusterLocal(n.id, w.th.Core.Cycles()-before)
+		if err != nil {
+			return nil, redis.EncodeError(err.Error())
+		}
+		return got, nil
+	}
+	resp, errReply := r.remote(w, n, src.ep, append([]string{"MGET"}, keys...))
+	if errReply != nil {
+		return nil, errReply
+	}
+	got, _, err := redis.DecodeArrayReply(resp)
+	if err != nil {
+		var re redis.ReplyError
+		if errors.As(err, &re) {
+			return nil, []byte("-" + string(re) + "\r\n") // relay the shard's refusal
+		}
+		return nil, redis.EncodeError("shard protocol error: " + err.Error())
+	}
+	if len(got) != len(keys) {
+		return nil, redis.EncodeError("shard protocol error: short MGET reply")
+	}
+	return got, nil
 }
 
 // clusterCommand serves the read-only CLUSTER introspection subcommands,
@@ -761,17 +699,17 @@ func (r *Router) clusterNodesReply() []byte {
 // urpc.TimeoutError, recognizable end to end via core.ErrTimeout — becomes
 // the retryable SHARDTIMEOUT reply, a timeout count against the node, and
 // dead-node evidence for the monitor; anything else is a hard shard error.
-func (r *Router) remoteError(nid int, err error) []byte {
+func (r *Router) remoteError(n *node, err error) []byte {
 	if errors.Is(err, urpc.ErrBudget) {
 		// Checked before ErrTimeout: a BudgetError unwraps to both, and the
 		// distinction matters — the deadline ran out, not the node.
 		r.obs.ClusterDeadlineExpired()
-		return redis.EncodeDeadline(fmt.Sprintf("node %d: budget exhausted mid-call, retry", nid))
+		return redis.EncodeDeadline(fmt.Sprintf("node %d: budget exhausted mid-call, retry", n.id))
 	}
 	if errors.Is(err, urpc.ErrTimeout) {
-		r.obs.ClusterTimeout(nid)
-		r.noteSuspect(r.nodes[nid])
-		return redis.EncodeShardTimeout(nid)
+		r.obs.ClusterTimeout(n.id)
+		r.noteSuspect(n)
+		return redis.EncodeShardTimeout(n.id)
 	}
-	return redis.EncodeError(fmt.Sprintf("shard error: node %d: %s", nid, err))
+	return redis.EncodeError(fmt.Sprintf("shard error: node %d: %s", n.id, err))
 }

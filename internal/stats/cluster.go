@@ -448,15 +448,6 @@ func (s *Sink) ClusterBreakerOpensTotal() uint64 {
 	return s.cluster.breakerOpens.Load()
 }
 
-// ClusterDeadlineExpiredTotal returns the running count of -DEADLINE
-// refusals.
-func (s *Sink) ClusterDeadlineExpiredTotal() uint64 {
-	if s == nil {
-		return 0
-	}
-	return s.cluster.deadlineExpired.Load()
-}
-
 // ClusterShipDuration records the wall-clock nanoseconds one fork-based ship
 // spent extracting and applying the image — all off the node mutex. Safe on
 // nil.
@@ -464,15 +455,6 @@ func (s *Sink) ClusterShipDuration(ns uint64) {
 	if s != nil {
 		s.cluster.shipNs.Observe(ns)
 	}
-}
-
-// ClusterForksTotal returns the running count of frozen views forked — a
-// single atomic load, safe to poll while the cluster runs.
-func (s *Sink) ClusterForksTotal() uint64 {
-	if s == nil {
-		return 0
-	}
-	return s.cluster.forks.Load()
 }
 
 // ClusterFollowerReadsTotal returns the running count of follower reads.
@@ -498,30 +480,4 @@ func (s *Sink) ClusterSlotMovesTotal() uint64 {
 		return 0
 	}
 	return s.cluster.slotMoves.Load()
-}
-
-// ClusterSlotMoveFailuresTotal returns the running count of migrations
-// aborted and rolled back.
-func (s *Sink) ClusterSlotMoveFailuresTotal() uint64 {
-	if s == nil {
-		return 0
-	}
-	return s.cluster.slotMoveFailures.Load()
-}
-
-// ClusterNodesAddedTotal returns the running count of mid-run node joins.
-func (s *Sink) ClusterNodesAddedTotal() uint64 {
-	if s == nil {
-		return 0
-	}
-	return s.cluster.nodesAdded.Load()
-}
-
-// ClusterNodesRemovedTotal returns the running count of mid-run node
-// removals.
-func (s *Sink) ClusterNodesRemovedTotal() uint64 {
-	if s == nil {
-		return 0
-	}
-	return s.cluster.nodesRemoved.Load()
 }

@@ -338,15 +338,6 @@ func (s *Sink) VMCOWBreak() {
 	}
 }
 
-// VMCOWBreaksTotal returns the running COW-break count — a single atomic
-// load, safe to poll while the machine runs.
-func (s *Sink) VMCOWBreaksTotal() uint64 {
-	if s == nil {
-		return 0
-	}
-	return s.vmCOWBreaks.Load()
-}
-
 // LockWait records ns nanoseconds of real time a switch spent acquiring a
 // VAS's segment lock set (≈0 when uncontended).
 func (s *Sink) LockWait(ns uint64) {

@@ -80,23 +80,6 @@ func (s *Sink) TenantDenied(i int) {
 	}
 }
 
-// TenantQuotaRejectedTotal returns the running quota-rejection count summed
-// over tenants — a single pass over atomics, safe to poll mid-run.
-func (s *Sink) TenantQuotaRejectedTotal() uint64 {
-	if s == nil {
-		return 0
-	}
-	table := s.tenants.table.Load()
-	if table == nil {
-		return 0
-	}
-	var total uint64
-	for i := range *table {
-		total += (*table)[i].quota.Load()
-	}
-	return total
-}
-
 // TenantDeniedTotal returns the running capability-denial count summed over
 // tenants, safe to poll mid-run.
 func (s *Sink) TenantDeniedTotal() uint64 {

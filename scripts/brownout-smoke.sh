@@ -53,6 +53,10 @@ cat >"$tmp/brownout.json" <<'EOF'
 }
 EOF
 
+# Create the log before the server starts: the shell opens a background
+# command's redirection in the child, so the polling loop below could
+# otherwise read it before it exists.
+: >"$tmp/server.log"
 "$tmp/spacejmp-server" -addr 127.0.0.1:0 -admin 127.0.0.1:0 \
     -machine small -shards 1 -cluster 3 -seg 1048576 \
     -replicate -ship-every 4 -follower-reads -stale-bound 2s \

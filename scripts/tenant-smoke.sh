@@ -19,6 +19,10 @@ trap 'test -n "$srv_pid" && kill "$srv_pid" 2>/dev/null; rm -rf "$tmp"' EXIT
 go build -o "$tmp/spacejmp-server" ./cmd/spacejmp-server
 go build -o "$tmp/spacejmp-load" ./cmd/spacejmp-load
 
+# Create the log before the server starts: the shell opens a background
+# command's redirection in the child, so the polling loop below could
+# otherwise read it before it exists.
+: >"$tmp/server.log"
 "$tmp/spacejmp-server" -addr 127.0.0.1:0 -admin 127.0.0.1:0 \
     -machine small -shards 2 -tenants 2 -tenant-max-keys 24 \
     2>"$tmp/server.log" &
