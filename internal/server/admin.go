@@ -1,9 +1,11 @@
 package server
 
 import (
-	"bytes"
 	"encoding/json"
+	"maps"
 	"net/http"
+	"reflect"
+	"slices"
 	"strconv"
 	"sync"
 	"time"
@@ -61,9 +63,13 @@ type ClusterStatus interface {
 //	                   urpc frames, per-node health)
 //	GET /stats/delta — long-poll delta stream: the first call returns the
 //	                   full snapshot and a cursor; each follow-up call with
-//	                   ?cursor= blocks (up to ?wait=, default 10s) until any
-//	                   counter changed, then returns the delta since the
-//	                   cursor's snapshot and a new cursor. A watcher loops on
+//	                   ?cursor= re-snapshots every 20 ms (up to ?wait=,
+//	                   default 10s, at most 30s) until any counter differs
+//	                   from the cursor's snapshot, then returns the delta
+//	                   since it (stats.Snapshot.Delta: counters subtract,
+//	                   maxima and high-water marks carry the later value)
+//	                   and a new single-use cursor; changed=false means the
+//	                   window passed with nothing moving. A watcher loops on
 //	                   it to stream a running scenario's activity instead of
 //	                   re-pulling and re-diffing full snapshots.
 //	GET /trace?n=    — the most recent n retained trace events (default all)
@@ -84,7 +90,7 @@ type ClusterStatus interface {
 // the sink does own, are present and account for all charged work.
 func AdminHandler(sys *core.System, cl ClusterStatus, tenants *tenant.Registry) http.Handler {
 	obs := sys.M.Observer()
-	cursors := &deltaCursors{snaps: map[uint64]cursorSnap{}}
+	cursors := &deltaCursors{snaps: map[uint64]*stats.Snapshot{}}
 	mux := http.NewServeMux()
 	mux.HandleFunc("/healthz", func(w http.ResponseWriter, r *http.Request) {
 		// healthBody carries the placement version alongside the verdict so
@@ -226,54 +232,41 @@ func writeJSON(w http.ResponseWriter, v any) {
 
 // --- /stats/delta: long-poll streaming of snapshot deltas. ---
 
-// cursorSnap is one registered baseline: the snapshot a future delta is
-// taken against, plus its canonical JSON form — change detection compares
-// marshaled bytes, which is sound because Go marshals map keys sorted.
-type cursorSnap struct {
-	snap *stats.Snapshot
-	raw  []byte
-}
-
-// deltaCursors is the handler's baseline table. Cursors are cheap (one
+// deltaCursors is the handler's baseline table: each cursor names the
+// snapshot a future delta is taken against. Cursors are cheap (one
 // snapshot each) but unclaimed ones must not accumulate, so the table is
 // bounded: past maxDeltaCursors the oldest (smallest id) is evicted, and a
 // poll presenting it gets 410 Gone — the watcher restarts cursorless.
 type deltaCursors struct {
 	mu    sync.Mutex
 	next  uint64
-	snaps map[uint64]cursorSnap
+	snaps map[uint64]*stats.Snapshot
 }
 
 const maxDeltaCursors = 64
 
-func (c *deltaCursors) register(cs cursorSnap) uint64 {
+func (c *deltaCursors) register(snap *stats.Snapshot) uint64 {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	c.next++
-	c.snaps[c.next] = cs
+	c.snaps[c.next] = snap
 	for len(c.snaps) > maxDeltaCursors {
-		oldest := uint64(0)
-		for id := range c.snaps {
-			if oldest == 0 || id < oldest {
-				oldest = id
-			}
-		}
-		delete(c.snaps, oldest)
+		delete(c.snaps, slices.Min(slices.Collect(maps.Keys(c.snaps))))
 	}
 	return c.next
 }
 
-func (c *deltaCursors) take(id uint64) (cursorSnap, bool) {
+func (c *deltaCursors) take(id uint64) (*stats.Snapshot, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	cs, ok := c.snaps[id]
+	snap, ok := c.snaps[id]
 	if ok {
 		// A cursor is single-use: the reply hands back a fresh one, so
 		// dropping the old baseline keeps the table from filling with
 		// spent entries.
 		delete(c.snaps, id)
 	}
-	return cs, ok
+	return snap, ok
 }
 
 // statsDelta is one long-poll reply: the next cursor, whether any counter
@@ -285,21 +278,13 @@ type statsDelta struct {
 	Delta   *stats.Snapshot `json:"delta"`
 }
 
+// serveStatsDelta answers one /stats/delta poll. Change detection compares
+// the fresh snapshot with the cursor's baseline by reflect.DeepEqual: both
+// come from Sink.Snapshot, which builds nil and empty maps and slices the
+// same way every time, so equal values mean no counter moved.
 func serveStatsDelta(w http.ResponseWriter, r *http.Request, obs *stats.Sink, cursors *deltaCursors) {
-	snapshotNow := func() (cursorSnap, bool) {
-		snap := obs.Snapshot()
-		if snap == nil {
-			return cursorSnap{}, false
-		}
-		raw, err := json.Marshal(snap)
-		if err != nil {
-			return cursorSnap{}, false
-		}
-		return cursorSnap{snap, raw}, true
-	}
-
-	cur, ok := snapshotNow()
-	if !ok {
+	cur := obs.Snapshot()
+	if cur == nil {
 		http.Error(w, "observability disabled", http.StatusNotFound)
 		return
 	}
@@ -307,7 +292,7 @@ func serveStatsDelta(w http.ResponseWriter, r *http.Request, obs *stats.Sink, cu
 	if cursorParam == "" {
 		// First call: the full snapshot is the delta, and its baseline is
 		// what the next poll diffs against.
-		writeJSON(w, statsDelta{cursors.register(cur), true, cur.snap})
+		writeJSON(w, statsDelta{cursors.register(cur), true, cur})
 		return
 	}
 	id, err := strconv.ParseUint(cursorParam, 10, 64)
@@ -335,7 +320,7 @@ func serveStatsDelta(w http.ResponseWriter, r *http.Request, obs *stats.Sink, cu
 	}
 
 	deadline := time.Now().Add(wait)
-	changed := !bytes.Equal(cur.raw, base.raw)
+	changed := !reflect.DeepEqual(cur, base)
 	for !changed {
 		if time.Now().After(deadline) {
 			break
@@ -345,11 +330,8 @@ func serveStatsDelta(w http.ResponseWriter, r *http.Request, obs *stats.Sink, cu
 			return
 		case <-time.After(20 * time.Millisecond):
 		}
-		if cur, ok = snapshotNow(); !ok {
-			http.Error(w, "observability disabled", http.StatusNotFound)
-			return
-		}
-		changed = !bytes.Equal(cur.raw, base.raw)
+		cur = obs.Snapshot()
+		changed = !reflect.DeepEqual(cur, base)
 	}
-	writeJSON(w, statsDelta{cursors.register(cur), changed, cur.snap.Delta(base.snap)})
+	writeJSON(w, statsDelta{cursors.register(cur), changed, cur.Delta(base)})
 }

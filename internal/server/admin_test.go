@@ -306,3 +306,84 @@ func TestAdminClusterHealth(t *testing.T) {
 		t.Fatalf("healthz detail missing: %+v", report.Nodes[0])
 	}
 }
+
+// pollDelta runs one /stats/delta call through the handler and decodes it.
+func pollDelta(t *testing.T, admin *httptest.Server, query string) (cursor uint64, changed bool, delta *stats.Snapshot) {
+	t.Helper()
+	resp, err := admin.Client().Get(admin.URL + "/stats/delta" + query)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	if resp.StatusCode != 200 {
+		t.Fatalf("/stats/delta%s: status %d", query, resp.StatusCode)
+	}
+	var body struct {
+		Cursor  uint64          `json:"cursor"`
+		Changed bool            `json:"changed"`
+		Delta   *stats.Snapshot `json:"delta"`
+	}
+	if err := json.NewDecoder(resp.Body).Decode(&body); err != nil {
+		t.Fatal(err)
+	}
+	return body.Cursor, body.Changed, body.Delta
+}
+
+// TestAdminStatsDeltaIdle: with no activity a poll waits out its window
+// and reports changed=false.
+func TestAdminStatsDeltaIdle(t *testing.T) {
+	sys, srv := startServer(t, Config{Shards: 1}, nil)
+	defer srv.Shutdown()
+	admin := httptest.NewServer(AdminHandler(sys, nil, nil))
+	defer admin.Close()
+
+	cursor, _, _ := pollDelta(t, admin, "")
+	if _, changed, _ := pollDelta(t, admin, "?wait=100ms&cursor="+strconv.FormatUint(cursor, 10)); changed {
+		t.Error("idle poll reported changed=true")
+	}
+}
+
+// TestAdminStatsDeltaSeesEveryCounter: a counter that alone moves a block
+// out of emptiness (here the cluster's -MOVED retries) is a change the
+// poll reports, with the delta attributing it.
+func TestAdminStatsDeltaSeesEveryCounter(t *testing.T) {
+	sys, srv := startServer(t, Config{Shards: 1}, nil)
+	defer srv.Shutdown()
+	admin := httptest.NewServer(AdminHandler(sys, nil, nil))
+	defer admin.Close()
+
+	cursor, _, _ := pollDelta(t, admin, "")
+	sys.M.Observer().ClusterMovedRetry()
+	_, changed, delta := pollDelta(t, admin, "?wait=2s&cursor="+strconv.FormatUint(cursor, 10))
+	if !changed {
+		t.Fatal("poll after ClusterMovedRetry reported changed=false")
+	}
+	if delta.Cluster == nil || delta.Cluster.Migration == nil || delta.Cluster.Migration.MovedRetries != 1 {
+		t.Fatalf("delta cluster = %+v, want migration.moved_retries 1", delta.Cluster)
+	}
+}
+
+// TestAdminStatsDeltaCursorEviction: past maxDeltaCursors unclaimed
+// cursors, the oldest is evicted and presenting it is Gone.
+func TestAdminStatsDeltaCursorEviction(t *testing.T) {
+	sys, srv := startServer(t, Config{Shards: 1}, nil)
+	defer srv.Shutdown()
+	admin := httptest.NewServer(AdminHandler(sys, nil, nil))
+	defer admin.Close()
+
+	oldest, _, _ := pollDelta(t, admin, "")
+	newest := oldest
+	for i := 0; i < maxDeltaCursors; i++ {
+		newest, _, _ = pollDelta(t, admin, "")
+	}
+	for cursor, want := range map[uint64]int{oldest: 410, newest: 200} {
+		resp, err := admin.Client().Get(admin.URL + "/stats/delta?wait=0s&cursor=" + strconv.FormatUint(cursor, 10))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != want {
+			t.Errorf("cursor %d: status %d, want %d", cursor, resp.StatusCode, want)
+		}
+	}
+}

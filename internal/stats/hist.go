@@ -68,11 +68,12 @@ func (h *Hist) snapshot() HistSnap {
 }
 
 // HistSnap is an immutable histogram snapshot. Buckets[i] counts values in
-// [2^(i-1), 2^i); Buckets[0] counts exact zeros.
+// [2^(i-1), 2^i); Buckets[0] counts exact zeros. Max cannot be subtracted,
+// so Delta carries the later snapshot's.
 type HistSnap struct {
 	Count   uint64   `json:"count"`
 	Sum     uint64   `json:"sum"`
-	Max     uint64   `json:"max"`
+	Max     uint64   `json:"max" delta:"last"`
 	Buckets []uint64 `json:"buckets,omitempty"`
 }
 
@@ -109,24 +110,4 @@ func (h HistSnap) Quantile(q float64) uint64 {
 		}
 	}
 	return h.Max
-}
-
-// sub returns the bucket-wise difference h − before (for Snapshot.Delta).
-// Max is not subtractable and is carried from the later snapshot.
-func (h HistSnap) sub(before HistSnap) HistSnap {
-	out := HistSnap{
-		Count: h.Count - before.Count,
-		Sum:   h.Sum - before.Sum,
-		Max:   h.Max,
-	}
-	if len(h.Buckets) > 0 {
-		out.Buckets = make([]uint64, len(h.Buckets))
-		copy(out.Buckets, h.Buckets)
-		for i := range before.Buckets {
-			if i < len(out.Buckets) {
-				out.Buckets[i] -= before.Buckets[i]
-			}
-		}
-	}
-	return out
 }

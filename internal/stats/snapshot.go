@@ -4,7 +4,10 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"sort"
+	"maps"
+	"reflect"
+	"slices"
+	"sync"
 	"text/tabwriter"
 
 	"spacejmp/internal/arch"
@@ -82,12 +85,13 @@ type VMSnap struct {
 	COWBreaks uint64 `json:"cow_breaks"`
 }
 
-// ShardSnap is one worker shard's serving activity.
+// ShardSnap is one worker shard's serving activity. QueueMax is a
+// high-water mark, so Delta carries it rather than subtracting it.
 type ShardSnap struct {
 	Conns    uint64 `json:"conns"`
 	Commands uint64 `json:"commands"`
 	Busy     uint64 `json:"busy"`
-	QueueMax uint64 `json:"queue_max"`
+	QueueMax uint64 `json:"queue_max" delta:"last"`
 }
 
 // ServerSnap is the serving layer's view: connection and command totals,
@@ -126,12 +130,10 @@ type ReplicationSnap struct {
 	LostUpdates   uint64 `json:"lost_updates"`
 }
 
-func (r ReplicationSnap) zero() bool { return r == ReplicationSnap{} }
-
 // MigrationSnap is the elastic-membership side of the cluster layer: slot
 // migrations, node join/leave, and the -MOVED retries clients absorbed
 // while slots flipped. SlotKeys maps slot → key count observed when that
-// slot last migrated (point-in-time, not monotonic).
+// slot last migrated (point-in-time, not monotonic, so Delta carries it).
 type MigrationSnap struct {
 	SlotMoves        uint64         `json:"slot_moves"`
 	SlotMoveFailures uint64         `json:"slot_move_failures"`
@@ -141,13 +143,7 @@ type MigrationSnap struct {
 	MovedRetries     uint64         `json:"moved_retries"`
 	NodesAdded       uint64         `json:"nodes_added"`
 	NodesRemoved     uint64         `json:"nodes_removed"`
-	SlotKeys         map[int]uint64 `json:"slot_keys,omitempty"`
-}
-
-func (m MigrationSnap) zero() bool {
-	return m.SlotMoves == 0 && m.SlotMoveFailures == 0 && m.KeysMoved == 0 &&
-		m.BytesMoved == 0 && m.DeltaReplayed == 0 && m.MovedRetries == 0 &&
-		m.NodesAdded == 0 && m.NodesRemoved == 0 && len(m.SlotKeys) == 0
+	SlotKeys         map[int]uint64 `json:"slot_keys,omitempty" delta:"last"`
 }
 
 // ForkSnap is the COW-fork side of the cluster layer: frozen views forked
@@ -163,11 +159,6 @@ type ForkSnap struct {
 	ShipNs        HistSnap `json:"ship_ns"`
 }
 
-func (f ForkSnap) zero() bool {
-	return f.Forks == 0 && f.Releases == 0 && f.Invalidated == 0 &&
-		f.FollowerReads == 0 && f.StaleRejected == 0 && f.ShipNs.Count == 0
-}
-
 // OverloadSnap is the overload-protection side of the cluster layer:
 // deadline-budget refusals, breaker-shed dispatches, degraded (stale)
 // reads, breaker transition counts, and the budget-margin distribution.
@@ -181,12 +172,6 @@ type OverloadSnap struct {
 	BudgetRemaining  HistSnap `json:"budget_remaining"`
 }
 
-func (o OverloadSnap) zero() bool {
-	return o.DeadlineExpired == 0 && o.Shed == 0 && o.DegradedReads == 0 &&
-		o.BreakerOpens == 0 && o.BreakerHalfOpens == 0 && o.BreakerCloses == 0 &&
-		o.BudgetRemaining.Count == 0
-}
-
 // TenantSnap is one tenant's serving activity: admitted commands and their
 // payload bytes, quota rejections at admission, and capability denials on
 // cross-view addresses. Index order follows tenant registration order.
@@ -196,8 +181,6 @@ type TenantSnap struct {
 	QuotaRejections uint64 `json:"quota_rejections"`
 	CapDenials      uint64 `json:"cap_denials"`
 }
-
-func (t TenantSnap) zero() bool { return t == TenantSnap{} }
 
 // ClusterSnap is the cluster layer's view: how many commands were served on
 // the shared-VAS fast path versus over urpc, what each mode cost in worker
@@ -250,7 +233,9 @@ type Snapshot struct {
 
 // Snapshot copies the sink-owned counters into an immutable Snapshot.
 // Per-core total cycles and MMU counters are owned by the hardware layer;
-// hw.Machine.StatsSnapshot completes them. Returns nil on a nil sink.
+// hw.Machine.StatsSnapshot completes them. The optional blocks (server,
+// cluster and its sub-blocks, tenants) are present exactly when one of
+// their counters is non-zero. Returns nil on a nil sink.
 func (s *Sink) Snapshot() *Snapshot {
 	if s == nil {
 		return nil
@@ -310,46 +295,39 @@ func (s *Sink) Snapshot() *Snapshot {
 			snap.Syscalls[Op(op).String()] = h
 		}
 	}
-	if srv := (&s.server); srv.connsAccepted.Load() != 0 || srv.commands.Load() != 0 || srv.busy.Load() != 0 {
-		ss := &ServerSnap{
-			ConnsAccepted: srv.connsAccepted.Load(),
-			ConnsClosed:   srv.connsClosed.Load(),
-			Commands:      srv.commands.Load(),
-			Busy:          srv.busy.Load(),
-			Pipeline:      srv.pipeline.snapshot(),
-			QueueDepth:    srv.queue.snapshot(),
-			LatencyNs:     srv.latencyNs.snapshot(),
-		}
-		if shards := srv.shards.Load(); shards != nil {
-			ss.Shards = make([]ShardSnap, len(*shards))
-			for i := range *shards {
-				sh := &(*shards)[i]
-				ss.Shards[i] = ShardSnap{
-					Conns:    sh.conns.Load(),
-					Commands: sh.commands.Load(),
-					Busy:     sh.busy.Load(),
-					QueueMax: sh.queueMax.Load(),
-				}
+	srv := &s.server
+	ss := &ServerSnap{
+		ConnsAccepted: srv.connsAccepted.Load(),
+		ConnsClosed:   srv.connsClosed.Load(),
+		Commands:      srv.commands.Load(),
+		Busy:          srv.busy.Load(),
+		Pipeline:      srv.pipeline.snapshot(),
+		QueueDepth:    srv.queue.snapshot(),
+		LatencyNs:     srv.latencyNs.snapshot(),
+	}
+	if shards := srv.shards.Load(); shards != nil {
+		ss.Shards = make([]ShardSnap, len(*shards))
+		for i := range *shards {
+			sh := &(*shards)[i]
+			ss.Shards[i] = ShardSnap{
+				Conns:    sh.conns.Load(),
+				Commands: sh.commands.Load(),
+				Busy:     sh.busy.Load(),
+				QueueMax: sh.queueMax.Load(),
 			}
 		}
-		snap.Server = ss
 	}
-	if cl := (&s.cluster); cl.local.Load() != 0 || cl.remote.Load() != 0 || cl.timeouts.Load() != 0 ||
-		cl.ships.Load() != 0 || cl.probes.Load() != 0 || cl.shipFailures.Load() != 0 ||
-		cl.slotMoves.Load() != 0 || cl.slotMoveFailures.Load() != 0 ||
-		cl.nodesAdded.Load() != 0 || cl.nodesRemoved.Load() != 0 ||
-		cl.forks.Load() != 0 || cl.followerReads.Load() != 0 || cl.staleRejected.Load() != 0 ||
-		cl.deadlineExpired.Load() != 0 || cl.shed.Load() != 0 || cl.degradedReads.Load() != 0 ||
-		cl.breakerOpens.Load() != 0 {
-		cs := &ClusterSnap{
-			Local:          cl.local.Load(),
-			Remote:         cl.remote.Load(),
-			Timeouts:       cl.timeouts.Load(),
-			LocalCycles:    cl.localCycles.snapshot(),
-			RemoteCycles:   cl.remoteCycles.snapshot(),
-			URPCCallCycles: cl.urpcCycles.snapshot(),
-		}
-		rep := ReplicationSnap{
+	snap.Server = nonzero(ss)
+
+	cl := &s.cluster
+	cs := &ClusterSnap{
+		Local:          cl.local.Load(),
+		Remote:         cl.remote.Load(),
+		Timeouts:       cl.timeouts.Load(),
+		LocalCycles:    cl.localCycles.snapshot(),
+		RemoteCycles:   cl.remoteCycles.snapshot(),
+		URPCCallCycles: cl.urpcCycles.snapshot(),
+		Replication: nonzero(&ReplicationSnap{
 			Ships:         cl.ships.Load(),
 			ShipBytes:     cl.shipBytes.Load(),
 			ShipFailures:  cl.shipFailures.Load(),
@@ -358,45 +336,16 @@ func (s *Sink) Snapshot() *Snapshot {
 			Promotions:    cl.promotions.Load(),
 			DeltaReplayed: cl.deltaReplayed.Load(),
 			LostUpdates:   cl.lostUpdates.Load(),
-		}
-		if !rep.zero() {
-			cs.Replication = &rep
-		}
-		mig := MigrationSnap{
-			SlotMoves:        cl.slotMoves.Load(),
-			SlotMoveFailures: cl.slotMoveFailures.Load(),
-			KeysMoved:        cl.migKeysMoved.Load(),
-			BytesMoved:       cl.migBytes.Load(),
-			DeltaReplayed:    cl.migDeltaReplayed.Load(),
-			MovedRetries:     cl.movedRetries.Load(),
-			NodesAdded:       cl.nodesAdded.Load(),
-			NodesRemoved:     cl.nodesRemoved.Load(),
-		}
-		if table := cl.slotKeys.Load(); table != nil {
-			for i := range *table {
-				if v := (*table)[i].Load(); v != 0 {
-					if mig.SlotKeys == nil {
-						mig.SlotKeys = map[int]uint64{}
-					}
-					mig.SlotKeys[i] = v
-				}
-			}
-		}
-		if !mig.zero() {
-			cs.Migration = &mig
-		}
-		fk := ForkSnap{
+		}),
+		Fork: nonzero(&ForkSnap{
 			Forks:         cl.forks.Load(),
 			Releases:      cl.forkReleases.Load(),
 			Invalidated:   cl.forkInvalidates.Load(),
 			FollowerReads: cl.followerReads.Load(),
 			StaleRejected: cl.staleRejected.Load(),
 			ShipNs:        cl.shipNs.snapshot(),
-		}
-		if !fk.zero() {
-			cs.Fork = &fk
-		}
-		ov := OverloadSnap{
+		}),
+		Overload: nonzero(&OverloadSnap{
 			DeadlineExpired:  cl.deadlineExpired.Load(),
 			Shed:             cl.shed.Load(),
 			DegradedReads:    cl.degradedReads.Load(),
@@ -404,26 +353,44 @@ func (s *Sink) Snapshot() *Snapshot {
 			BreakerHalfOpens: cl.breakerHalfOpens.Load(),
 			BreakerCloses:    cl.breakerCloses.Load(),
 			BudgetRemaining:  cl.budgetRemaining.snapshot(),
-		}
-		if !ov.zero() {
-			cs.Overload = &ov
-		}
-		if nodes := cl.nodes.Load(); nodes != nil {
-			cs.Nodes = make([]NodeSnap, len(*nodes))
-			for i := range *nodes {
-				nc := &(*nodes)[i]
-				cs.Nodes[i] = NodeSnap{
-					Local:    nc.local.Load(),
-					Remote:   nc.remote.Load(),
-					Timeouts: nc.timeouts.Load(),
+		}),
+	}
+	mig := &MigrationSnap{
+		SlotMoves:        cl.slotMoves.Load(),
+		SlotMoveFailures: cl.slotMoveFailures.Load(),
+		KeysMoved:        cl.migKeysMoved.Load(),
+		BytesMoved:       cl.migBytes.Load(),
+		DeltaReplayed:    cl.migDeltaReplayed.Load(),
+		MovedRetries:     cl.movedRetries.Load(),
+		NodesAdded:       cl.nodesAdded.Load(),
+		NodesRemoved:     cl.nodesRemoved.Load(),
+	}
+	if table := cl.slotKeys.Load(); table != nil {
+		for i := range *table {
+			if v := (*table)[i].Load(); v != 0 {
+				if mig.SlotKeys == nil {
+					mig.SlotKeys = map[int]uint64{}
 				}
+				mig.SlotKeys[i] = v
 			}
 		}
-		snap.Cluster = cs
 	}
+	cs.Migration = nonzero(mig)
+	if nodes := cl.nodes.Load(); nodes != nil {
+		cs.Nodes = make([]NodeSnap, len(*nodes))
+		for i := range *nodes {
+			nc := &(*nodes)[i]
+			cs.Nodes[i] = NodeSnap{
+				Local:    nc.local.Load(),
+				Remote:   nc.remote.Load(),
+				Timeouts: nc.timeouts.Load(),
+			}
+		}
+	}
+	snap.Cluster = nonzero(cs)
+
 	if table := s.tenants.table.Load(); table != nil {
 		tenants := make([]TenantSnap, len(*table))
-		var any bool
 		for i := range *table {
 			tc := &(*table)[i]
 			tenants[i] = TenantSnap{
@@ -432,9 +399,8 @@ func (s *Sink) Snapshot() *Snapshot {
 				QuotaRejections: tc.quota.Load(),
 				CapDenials:      tc.denials.Load(),
 			}
-			any = any || !tenants[i].zero()
 		}
-		if any {
+		if !zero(reflect.ValueOf(tenants)) {
 			snap.Tenants = tenants
 		}
 	}
@@ -445,221 +411,160 @@ func (s *Sink) Snapshot() *Snapshot {
 	return snap
 }
 
-// Delta returns this snapshot minus an earlier one, counter by counter —
-// the per-measurement view a benchmark prints. A nil before is treated as
-// all-zero. Histogram Max fields carry the later snapshot's value.
+// Delta returns this snapshot minus an earlier one — the per-measurement
+// view a benchmark prints. It walks the Snap types (see sub), so a nil
+// before, a block missing from before, or a shorter slice in before counts
+// as all-zero. Fields tagged delta:"last" (histogram maxima, high-water
+// marks, point-in-time slot key counts) carry this snapshot's value.
 func (s *Snapshot) Delta(before *Snapshot) *Snapshot {
-	if s == nil {
-		return nil
-	}
-	out := *s
-	if before == nil {
-		before = &Snapshot{}
-	}
-	out.Cores = make([]CoreSnap, len(s.Cores))
-	for i, c := range s.Cores {
-		d := c
-		d.ByCat = subMap(c.ByCat, nil)
-		if i < len(before.Cores) {
-			b := before.Cores[i]
-			d.Cycles -= b.Cycles
-			d.TLBHits -= b.TLBHits
-			d.TLBMisses -= b.TLBMisses
-			d.Faults -= b.Faults
-			d.CR3Loads -= b.CR3Loads
-			d.ByCat = subMap(c.ByCat, b.ByCat)
-		}
-		out.Cores[i] = d
-	}
-	out.Cycles = subMap(s.Cycles, before.Cycles)
-	out.TLB = TLBSnap{
-		Hits:           s.TLB.Hits - before.TLB.Hits,
-		Misses:         s.TLB.Misses - before.TLB.Misses,
-		Evictions:      s.TLB.Evictions - before.TLB.Evictions,
-		Flushes:        s.TLB.Flushes - before.TLB.Flushes,
-		FlushedEntries: s.TLB.FlushedEntries - before.TLB.FlushedEntries,
-	}
-	out.ASIDs = map[arch.ASID]ASIDSnap{}
-	for asid, a := range s.ASIDs {
-		b := before.ASIDs[asid]
-		d := ASIDSnap{Hits: a.Hits - b.Hits, Misses: a.Misses - b.Misses, Evictions: a.Evictions - b.Evictions}
-		if d.Hits != 0 || d.Misses != 0 || d.Evictions != 0 {
-			out.ASIDs[asid] = d
-		}
-	}
-	out.PT = PTSnap{
-		NodesAllocated: s.PT.NodesAllocated - before.PT.NodesAllocated,
-		NodesFreed:     s.PT.NodesFreed - before.PT.NodesFreed,
-		NodesTouched:   s.PT.NodesTouched - before.PT.NodesTouched,
-		EntriesSet:     s.PT.EntriesSet - before.PT.EntriesSet,
-		EntriesCleared: s.PT.EntriesCleared - before.PT.EntriesCleared,
-		Walks:          s.PT.Walks - before.PT.Walks,
-	}
-	out.NVM = NVMSnap{Writes: s.NVM.Writes - before.NVM.Writes, WrittenBytes: s.NVM.WrittenBytes - before.NVM.WrittenBytes}
-	out.VM = VMSnap{Maps: s.VM.Maps - before.VM.Maps, Unmaps: s.VM.Unmaps - before.VM.Unmaps, Faults: s.VM.Faults - before.VM.Faults, COWBreaks: s.VM.COWBreaks - before.VM.COWBreaks}
-	out.Syscalls = map[string]HistSnap{}
-	for op, h := range s.Syscalls {
-		d := h.sub(before.Syscalls[op])
-		if d.Count != 0 {
-			out.Syscalls[op] = d
-		}
-	}
-	if s.Server != nil {
-		b := before.Server
-		if b == nil {
-			b = &ServerSnap{}
-		}
-		d := &ServerSnap{
-			ConnsAccepted: s.Server.ConnsAccepted - b.ConnsAccepted,
-			ConnsClosed:   s.Server.ConnsClosed - b.ConnsClosed,
-			Commands:      s.Server.Commands - b.Commands,
-			Busy:          s.Server.Busy - b.Busy,
-			Pipeline:      s.Server.Pipeline.sub(b.Pipeline),
-			QueueDepth:    s.Server.QueueDepth.sub(b.QueueDepth),
-			LatencyNs:     s.Server.LatencyNs.sub(b.LatencyNs),
-		}
-		d.Shards = make([]ShardSnap, len(s.Server.Shards))
-		for i, sh := range s.Server.Shards {
-			ds := sh // QueueMax is a high-water mark; carry the later value
-			if i < len(b.Shards) {
-				ds.Conns -= b.Shards[i].Conns
-				ds.Commands -= b.Shards[i].Commands
-				ds.Busy -= b.Shards[i].Busy
-			}
-			d.Shards[i] = ds
-		}
-		out.Server = d
-	}
-	if s.Cluster != nil {
-		b := before.Cluster
-		if b == nil {
-			b = &ClusterSnap{}
-		}
-		d := &ClusterSnap{
-			Local:          s.Cluster.Local - b.Local,
-			Remote:         s.Cluster.Remote - b.Remote,
-			Timeouts:       s.Cluster.Timeouts - b.Timeouts,
-			LocalCycles:    s.Cluster.LocalCycles.sub(b.LocalCycles),
-			RemoteCycles:   s.Cluster.RemoteCycles.sub(b.RemoteCycles),
-			URPCCallCycles: s.Cluster.URPCCallCycles.sub(b.URPCCallCycles),
-		}
-		if s.Cluster.Replication != nil {
-			br := ReplicationSnap{}
-			if b.Replication != nil {
-				br = *b.Replication
-			}
-			r := s.Cluster.Replication
-			dr := ReplicationSnap{
-				Ships:         r.Ships - br.Ships,
-				ShipBytes:     r.ShipBytes - br.ShipBytes,
-				ShipFailures:  r.ShipFailures - br.ShipFailures,
-				Probes:        r.Probes - br.Probes,
-				ProbeFailures: r.ProbeFailures - br.ProbeFailures,
-				Promotions:    r.Promotions - br.Promotions,
-				DeltaReplayed: r.DeltaReplayed - br.DeltaReplayed,
-				LostUpdates:   r.LostUpdates - br.LostUpdates,
-			}
-			d.Replication = &dr
-		}
-		if s.Cluster.Migration != nil {
-			bm := MigrationSnap{}
-			if b.Migration != nil {
-				bm = *b.Migration
-			}
-			m := s.Cluster.Migration
-			dm := MigrationSnap{
-				SlotMoves:        m.SlotMoves - bm.SlotMoves,
-				SlotMoveFailures: m.SlotMoveFailures - bm.SlotMoveFailures,
-				KeysMoved:        m.KeysMoved - bm.KeysMoved,
-				BytesMoved:       m.BytesMoved - bm.BytesMoved,
-				DeltaReplayed:    m.DeltaReplayed - bm.DeltaReplayed,
-				MovedRetries:     m.MovedRetries - bm.MovedRetries,
-				NodesAdded:       m.NodesAdded - bm.NodesAdded,
-				NodesRemoved:     m.NodesRemoved - bm.NodesRemoved,
-				// Point-in-time counts, not monotonic: carry the later view.
-				SlotKeys: m.SlotKeys,
-			}
-			d.Migration = &dm
-		}
-		if s.Cluster.Fork != nil {
-			bf := ForkSnap{}
-			if b.Fork != nil {
-				bf = *b.Fork
-			}
-			f := s.Cluster.Fork
-			df := ForkSnap{
-				Forks:         f.Forks - bf.Forks,
-				Releases:      f.Releases - bf.Releases,
-				Invalidated:   f.Invalidated - bf.Invalidated,
-				FollowerReads: f.FollowerReads - bf.FollowerReads,
-				StaleRejected: f.StaleRejected - bf.StaleRejected,
-				ShipNs:        f.ShipNs.sub(bf.ShipNs),
-			}
-			d.Fork = &df
-		}
-		if s.Cluster.Overload != nil {
-			bo := OverloadSnap{}
-			if b.Overload != nil {
-				bo = *b.Overload
-			}
-			o := s.Cluster.Overload
-			do := OverloadSnap{
-				DeadlineExpired:  o.DeadlineExpired - bo.DeadlineExpired,
-				Shed:             o.Shed - bo.Shed,
-				DegradedReads:    o.DegradedReads - bo.DegradedReads,
-				BreakerOpens:     o.BreakerOpens - bo.BreakerOpens,
-				BreakerHalfOpens: o.BreakerHalfOpens - bo.BreakerHalfOpens,
-				BreakerCloses:    o.BreakerCloses - bo.BreakerCloses,
-				BudgetRemaining:  o.BudgetRemaining.sub(bo.BudgetRemaining),
-			}
-			d.Overload = &do
-		}
-		d.Nodes = make([]NodeSnap, len(s.Cluster.Nodes))
-		for i, n := range s.Cluster.Nodes {
-			dn := n
-			if i < len(b.Nodes) {
-				dn.Local -= b.Nodes[i].Local
-				dn.Remote -= b.Nodes[i].Remote
-				dn.Timeouts -= b.Nodes[i].Timeouts
-			}
-			d.Nodes[i] = dn
-		}
-		out.Cluster = d
-	}
-	if len(s.Tenants) > 0 {
-		out.Tenants = make([]TenantSnap, len(s.Tenants))
-		for i, t := range s.Tenants {
-			d := t
-			if i < len(before.Tenants) {
-				b := before.Tenants[i]
-				d.Commands -= b.Commands
-				d.Bytes -= b.Bytes
-				d.QuotaRejections -= b.QuotaRejections
-				d.CapDenials -= b.CapDenials
-			}
-			out.Tenants[i] = d
-		}
-	}
-	out.LockWaitNs = s.LockWaitNs.sub(before.LockWaitNs)
-	out.LockHoldCycles = s.LockHoldCycles.sub(before.LockHoldCycles)
-	out.Shootdowns = s.Shootdowns - before.Shootdowns
-	out.ShootdownPages = s.ShootdownPages - before.ShootdownPages
-	out.URPCRetries = s.URPCRetries - before.URPCRetries
-	out.FaultsInjected = s.FaultsInjected - before.FaultsInjected
-	out.Switches = s.Switches - before.Switches
-	out.TraceRecorded = s.TraceRecorded - before.TraceRecorded
-	out.TraceDropped = s.TraceDropped - before.TraceDropped
-	return &out
+	var out *Snapshot
+	sub(reflect.ValueOf(&out).Elem(), reflect.ValueOf(s), reflect.ValueOf(before))
+	return out
 }
 
-func subMap(a, b map[string]uint64) map[string]uint64 {
-	out := make(map[string]uint64, len(a))
-	for k, v := range a {
-		if d := v - b[k]; d != 0 {
-			out[k] = d
+// sub sets dst to after − before over the shape of the Snap types: uint64
+// leaves subtract; structs go field by field; a nil pointer, missing map
+// entry or missing slice element in before (or an invalid before) counts
+// as zero; a nil pointer, slice or map in after stays nil; map entries
+// whose delta is zero are dropped. Fields tagged delta:"last" and
+// non-counter scalars (CoreSnap.ID) carry after's value. dst must be a
+// settable zero value of after's type.
+func sub(dst, after, before reflect.Value) {
+	switch after.Kind() {
+	case reflect.Uint64:
+		d := after.Uint()
+		if before.IsValid() {
+			d -= before.Uint()
+		}
+		dst.SetUint(d)
+	case reflect.Struct:
+		last := lastFields(after.Type())
+		for i := 0; i < after.NumField(); i++ {
+			if last[i] {
+				dst.Field(i).Set(after.Field(i))
+				continue
+			}
+			var b reflect.Value
+			if before.IsValid() {
+				b = before.Field(i)
+			}
+			sub(dst.Field(i), after.Field(i), b)
+		}
+	case reflect.Pointer:
+		if after.IsNil() {
+			return
+		}
+		dst.Set(reflect.New(after.Type().Elem()))
+		var b reflect.Value
+		if before.IsValid() && !before.IsNil() {
+			b = before.Elem()
+		}
+		sub(dst.Elem(), after.Elem(), b)
+	case reflect.Slice:
+		if after.IsNil() {
+			return
+		}
+		if a, ok := after.Interface().([]uint64); ok {
+			// Histogram buckets, the bulk of a snapshot's leaves: subtract
+			// without a reflect call per element.
+			d := slices.Clone(a)
+			if before.IsValid() {
+				for i, v := range before.Interface().([]uint64)[:min(len(a), before.Len())] {
+					d[i] -= v
+				}
+			}
+			dst.Set(reflect.ValueOf(d))
+			return
+		}
+		dst.Set(reflect.MakeSlice(after.Type(), after.Len(), after.Len()))
+		for i := 0; i < after.Len(); i++ {
+			var b reflect.Value
+			if before.IsValid() && i < before.Len() {
+				b = before.Index(i)
+			}
+			sub(dst.Index(i), after.Index(i), b)
+		}
+	case reflect.Map:
+		if after.IsNil() {
+			return
+		}
+		dst.Set(reflect.MakeMapWithSize(after.Type(), after.Len()))
+		d := reflect.New(after.Type().Elem()).Elem()
+		for it := after.MapRange(); it.Next(); {
+			var b reflect.Value
+			if before.IsValid() {
+				b = before.MapIndex(it.Key())
+			}
+			d.SetZero()
+			sub(d, it.Value(), b)
+			if !zero(d) {
+				dst.SetMapIndex(it.Key(), d)
+			}
+		}
+	default:
+		dst.Set(after)
+	}
+}
+
+// zero reports whether every counted leaf of v — each uint64 reached
+// through structs, pointers, slices and maps, skipping delta:"last" fields
+// — is zero.
+func zero(v reflect.Value) bool {
+	switch v.Kind() {
+	case reflect.Uint64:
+		return v.Uint() == 0
+	case reflect.Struct:
+		last := lastFields(v.Type())
+		for i := 0; i < v.NumField(); i++ {
+			if !last[i] && !zero(v.Field(i)) {
+				return false
+			}
+		}
+	case reflect.Pointer:
+		return v.IsNil() || zero(v.Elem())
+	case reflect.Slice:
+		if a, ok := v.Interface().([]uint64); ok {
+			return !slices.ContainsFunc(a, func(x uint64) bool { return x != 0 })
+		}
+		for i := 0; i < v.Len(); i++ {
+			if !zero(v.Index(i)) {
+				return false
+			}
+		}
+	case reflect.Map:
+		for it := v.MapRange(); it.Next(); {
+			if !zero(it.Value()) {
+				return false
+			}
 		}
 	}
-	return out
+	return true
+}
+
+// lastFields reports, per field of struct type t, whether it is tagged
+// delta:"last". It is cached per type: Delta and the emptiness checks
+// visit the same few struct types hundreds of times per snapshot.
+func lastFields(t reflect.Type) []bool {
+	if last, ok := lastFieldsCache.Load(t); ok {
+		return last.([]bool)
+	}
+	last := make([]bool, t.NumField())
+	for i := range last {
+		last[i] = t.Field(i).Tag.Get("delta") == "last"
+	}
+	lastFieldsCache.Store(t, last)
+	return last
+}
+
+var lastFieldsCache sync.Map // reflect.Type → []bool
+
+// nonzero returns block, or nil when none of its counters has moved — the
+// rule by which Snapshot emits its optional blocks.
+func nonzero[T any](block *T) *T {
+	if zero(reflect.ValueOf(block)) {
+		return nil
+	}
+	return block
 }
 
 // JSON renders the snapshot as indented JSON.
@@ -672,7 +577,7 @@ func (s *Snapshot) WriteText(w io.Writer) error {
 	tw := tabwriter.NewWriter(w, 2, 4, 2, ' ', 0)
 	fmt.Fprintf(tw, "cycles by category\n")
 	var total uint64
-	for _, name := range sortedKeys(s.Cycles) {
+	for _, name := range slices.Sorted(maps.Keys(s.Cycles)) {
 		fmt.Fprintf(tw, "  %s\t%d\n", name, s.Cycles[name])
 		total += s.Cycles[name]
 	}
@@ -680,12 +585,7 @@ func (s *Snapshot) WriteText(w io.Writer) error {
 
 	fmt.Fprintf(tw, "tlb\thits %d\tmisses %d\thit-rate %.4f\n", s.TLB.Hits, s.TLB.Misses, s.TLB.HitRate())
 	fmt.Fprintf(tw, "\tevictions %d\tflushes %d\tflushed-entries %d\n", s.TLB.Evictions, s.TLB.Flushes, s.TLB.FlushedEntries)
-	asids := make([]arch.ASID, 0, len(s.ASIDs))
-	for a := range s.ASIDs {
-		asids = append(asids, a)
-	}
-	sort.Slice(asids, func(i, j int) bool { return asids[i] < asids[j] })
-	for _, a := range asids {
+	for _, a := range slices.Sorted(maps.Keys(s.ASIDs)) {
 		v := s.ASIDs[a]
 		fmt.Fprintf(tw, "  asid %d\thits %d\tmisses %d\thit-rate %.4f\tevictions %d\n",
 			a, v.Hits, v.Misses, v.HitRate(), v.Evictions)
@@ -713,7 +613,7 @@ func (s *Snapshot) WriteText(w io.Writer) error {
 	}
 	if len(s.Syscalls) > 0 {
 		fmt.Fprintf(tw, "syscall latency (cycles)\n")
-		for _, op := range sortedHistKeys(s.Syscalls) {
+		for _, op := range slices.Sorted(maps.Keys(s.Syscalls)) {
 			h := s.Syscalls[op]
 			fmt.Fprintf(tw, "  %s\tn %d\tmean %.0f\tp99 ≤%d\tmax %d\n",
 				op, h.Count, h.Mean(), h.Quantile(0.99), h.Max)
@@ -782,7 +682,7 @@ func (s *Snapshot) WriteText(w io.Writer) error {
 		}
 	}
 	for i, t := range s.Tenants {
-		if t.zero() {
+		if zero(reflect.ValueOf(t)) {
 			continue
 		}
 		fmt.Fprintf(tw, "tenant %d\tcommands %d\tbytes %d\tquota-rejected %d\tcap-denied %d\n",
@@ -792,22 +692,4 @@ func (s *Snapshot) WriteText(w io.Writer) error {
 		fmt.Fprintf(tw, "trace\trecorded %d\tdropped %d\n", s.TraceRecorded, s.TraceDropped)
 	}
 	return tw.Flush()
-}
-
-func sortedKeys(m map[string]uint64) []string {
-	out := make([]string, 0, len(m))
-	for k := range m {
-		out = append(out, k)
-	}
-	sort.Strings(out)
-	return out
-}
-
-func sortedHistKeys(m map[string]HistSnap) []string {
-	out := make([]string, 0, len(m))
-	for k := range m {
-		out = append(out, k)
-	}
-	sort.Strings(out)
-	return out
 }
